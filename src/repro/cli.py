@@ -558,6 +558,7 @@ def cmd_check(args) -> int:
     if not args.skip_races:
         for scenario in args.scenario:
             if scenario not in RACE_SCENARIOS:
+                print(f"{'races:' + scenario:<22} skipped (not in RACE_SCENARIOS)")
                 continue
             for scheduler in args.scheduler:
                 runner, spec = _check_scenario(scenario, scheduler, args)

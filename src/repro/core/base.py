@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.analysis import events as _events
 from repro.obs import flight as _flight
 from repro.perf import counters as _perf
+from repro.tcp.subflow import CWND_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -63,13 +64,24 @@ class Scheduler:
     # ------------------------------------------------------------------
     @staticmethod
     def available_subflows(conn: "MptcpConnection") -> List["Subflow"]:
-        """Established subflows that can accept a new segment now."""
-        return [sf for sf in conn.subflows if sf.can_send()]
+        """Established subflows that can accept a new segment now.
+
+        Inlines :meth:`Subflow.can_send` with ``sim.now`` read once.
+        """
+        now = conn.sim.now
+        return [
+            sf
+            for sf in conn.subflows
+            if now >= sf.established_at
+            and not sf._retx_queue
+            and sf._in_flight + 1 <= sf.cwnd + CWND_EPS
+        ]
 
     @staticmethod
     def established_subflows(conn: "MptcpConnection") -> List["Subflow"]:
         """Established subflows, regardless of window space."""
-        return [sf for sf in conn.subflows if sf.established]
+        now = conn.sim.now
+        return [sf for sf in conn.subflows if now >= sf.established_at]
 
     @staticmethod
     def fastest(subflows: List["Subflow"]) -> Optional["Subflow"]:
@@ -79,11 +91,23 @@ class Scheduler:
         reports an ``inf`` transit estimate, and NaN would make ``min``
         ordering-dependent) are excluded; if no subflow has a finite
         estimate there is no meaningful "fastest" and None is returned.
+
+        One pass, equivalent to ``min`` keyed on ``(srtt_or_default(),
+        sf_id)``: a later subflow replaces the best only if strictly
+        smaller, so the first minimum wins.
         """
-        usable = [sf for sf in subflows if math.isfinite(sf.srtt_or_default())]
-        if not usable:
-            return None
-        return min(usable, key=lambda sf: (sf.srtt_or_default(), sf.sf_id))
+        best: Optional["Subflow"] = None
+        best_rtt = 0.0
+        for sf in subflows:
+            rtt = sf.rtt.srtt
+            if rtt is None:
+                rtt = sf._default_rtt
+            if not math.isfinite(rtt):
+                continue
+            if best is None or rtt < best_rtt or (rtt == best_rtt and sf.sf_id < best.sf_id):
+                best = sf
+                best_rtt = rtt
+        return best
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         """Choose the subflow for the next segment (or None to wait)."""

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.analysis import events as _events
 from repro.core.base import Scheduler
+from repro.tcp.subflow import CWND_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -126,18 +127,53 @@ class EcfScheduler(Scheduler):
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         self.decisions += 1
-        established = self.established_subflows(conn)
-        fastest = self.fastest(established)
+        # One pass over the subflows finds both the fastest established
+        # subflow and the fastest one that can send -- the bodies of
+        # established_subflows(), available_subflows(), fastest() and
+        # can_send() inlined, since this runs on every segment
+        # (tests/test_schedulers.py pins the equivalence).  Both keep
+        # fastest()'s first minimum on (srtt, sf_id).
+        now = conn.sim.now
+        fastest: Optional["Subflow"] = None
+        fastest_rtt = 0.0
+        second: Optional["Subflow"] = None
+        second_rtt = 0.0
+        for sf in conn.subflows:
+            if now < sf.established_at:
+                continue
+            rtt = sf.rtt.srtt
+            if rtt is None:
+                rtt = sf._default_rtt
+            if not math.isfinite(rtt):
+                continue
+            if (
+                fastest is None
+                or rtt < fastest_rtt
+                or (rtt == fastest_rtt and sf.sf_id < fastest.sf_id)
+            ):
+                fastest = sf
+                fastest_rtt = rtt
+            if (
+                not sf._retx_queue
+                and sf._in_flight + 1 <= sf.cwnd + CWND_EPS
+                and (
+                    second is None
+                    or rtt < second_rtt
+                    or (rtt == second_rtt and sf.sf_id < second.sf_id)
+                )
+            ):
+                second = sf
+                second_rtt = rtt
         if fastest is None:
             self.waits += 1
             return None
-        if fastest.can_send():
+        # The fastest sendable subflow is the fastest established one
+        # exactly when the latter can send.
+        if second is fastest:
             return fastest
 
-        # Fastest subflow is full: consider the default scheduler's pick
-        # among the remaining available subflows.
-        candidates = [sf for sf in established if sf is not fastest and sf.can_send()]
-        second = self.fastest(candidates)
+        # Fastest subflow is full: ``second`` is the default scheduler's
+        # pick among the remaining available subflows.
         if second is None:
             self.waits += 1
             return None

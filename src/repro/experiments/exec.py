@@ -434,7 +434,7 @@ class ExperimentExecutor:
 
         pending: List[int] = []
         for index, spec in enumerate(specs):
-            entry = self.cache.get(hashes[index]) if self.cache else None
+            entry = self.cache.get(hashes[index]) if self.cache is not None else None
             if entry is not None and entry.get("kind") == spec.kind:
                 results[index] = result_from_dict(spec.kind, entry["result"])
                 self.stats.cached += 1

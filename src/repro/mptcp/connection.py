@@ -229,8 +229,15 @@ class MptcpConnection:
         return max(0, self.effective_send_window - self.bytes_outstanding)
 
     def window_limited(self) -> bool:
-        """True when the send window blocks assigning one more segment."""
-        return self.send_window_free < min(self.mss, max(1, self.unassigned_bytes))
+        """True when the send window blocks assigning one more segment.
+
+        The :attr:`send_window_free` property chain, inlined: this runs
+        once per assigned segment.
+        """
+        config = self.config
+        window = min(config.send_window_bytes, self.peer_recv_window)
+        free = max(0, window - (self.next_dsn - self.conn_una))
+        return free < min(config.mss, max(1, self.unassigned_bytes))
 
     def recv_window_limited(self) -> bool:
         """True when the *peer's advertised window* is the binding limit.
@@ -276,7 +283,7 @@ class MptcpConnection:
                         f"scheduler {self.scheduler.name!r} returned a subflow "
                         f"without window space: {subflow!r}"
                     )
-                payload = min(self.mss, self.unassigned_bytes)
+                payload = min(self.config.mss, self.unassigned_bytes)
                 dsn = self.next_dsn
                 self.next_dsn += payload
                 self.unassigned_bytes -= payload

@@ -36,23 +36,36 @@ class CoupledController(CongestionController):
 
     def alpha(self) -> float:
         """The LIA aggressiveness factor over all registered subflows."""
-        total_cwnd = sum(sf.cwnd for sf in self.subflows)
+        return self._alpha(sum([sf.cwnd for sf in self._subflows]))
+
+    def _alpha(self, total_cwnd: float) -> float:
+        """:meth:`alpha` given the total CWND (summed by the caller).
+
+        The total stays a ``sum()``: Python 3.12's ``sum()`` of floats
+        is compensated, so a hand loop would round differently with three
+        or more subflows.
+        """
         if total_cwnd <= 0:
             return 1.0
         best = 0.0
         denom = 0.0
-        for sf in self.subflows:
-            rtt = sf.rtt.smoothed_or(DEFAULT_RTT)
-            best = max(best, sf.cwnd / (rtt * rtt))
-            denom += sf.cwnd / rtt
+        for sf in self._subflows:
+            rtt = sf.rtt.srtt
+            if rtt is None:
+                rtt = DEFAULT_RTT
+            cwnd = sf.cwnd
+            ratio = cwnd / (rtt * rtt)
+            if ratio > best:
+                best = ratio
+            denom += cwnd / rtt
         if denom <= 0:
             return 1.0
         return total_cwnd * best / (denom * denom)
 
     def ca_increase(self, subflow: "Subflow") -> float:
-        total_cwnd = sum(sf.cwnd for sf in self.subflows)
+        total_cwnd = sum([sf.cwnd for sf in self._subflows])
         if total_cwnd <= 0:
             return 1.0 / max(subflow.cwnd, 1.0)
-        coupled = self.alpha() / total_cwnd
+        coupled = self._alpha(total_cwnd) / total_cwnd
         uncoupled = 1.0 / max(subflow.cwnd, 1.0)
         return min(coupled, uncoupled)

@@ -49,6 +49,7 @@ class RttEstimator:
         "samples",
         "_sum",
         "_window",
+        "_sigma",
     )
 
     #: Snapshot contract for checkpoint/fork (audited by RPR915).
@@ -60,6 +61,7 @@ class RttEstimator:
         "samples",
         "_sum",
         "_window",
+        "_sigma",
     )
 
     def __init__(
@@ -78,6 +80,8 @@ class RttEstimator:
         self.samples = 0
         self._sum = 0.0
         self._window: Deque[float] = deque(maxlen=sigma_window)
+        #: ``sigma`` of the current window, or None until next read.
+        self._sigma: Optional[float] = None
         if initial_rtt is not None:
             self.add_sample(initial_rtt)
 
@@ -98,6 +102,7 @@ class RttEstimator:
         self.samples += 1
         self._sum += rtt
         self._window.append(rtt)
+        self._sigma = None
 
     @property
     def rto(self) -> float:
@@ -109,13 +114,23 @@ class RttEstimator:
 
     @property
     def sigma(self) -> float:
-        """Windowed RTT standard deviation (ECF's per-subflow sigma)."""
-        n = len(self._window)
-        if n < 2:
-            return 0.0
-        mean = sum(self._window) / n
-        var = sum((x - mean) ** 2 for x in self._window) / (n - 1)
-        return math.sqrt(var)
+        """Windowed RTT standard deviation (ECF's per-subflow sigma).
+
+        Computed on first read after a sample and cached until the next
+        :meth:`add_sample`; ECF reads it on every wait-or-send decision.
+        """
+        sigma = self._sigma
+        if sigma is None:
+            window = self._window
+            n = len(window)
+            if n < 2:
+                sigma = 0.0
+            else:
+                mean = sum(window) / n
+                var = sum([(x - mean) ** 2 for x in window]) / (n - 1)
+                sigma = math.sqrt(var)
+            self._sigma = sigma
+        return sigma
 
     @property
     def mean_rtt(self) -> float:

@@ -45,7 +45,9 @@ DUP_THRESHOLD = 3
 #: Maximum RTO backoff multiplier.
 MAX_BACKOFF = 64.0
 
-_EPS = 1e-9
+#: Slack on the congestion-window test, so float cwnd growth that lands a
+#: hair under an integer still admits the segment.
+CWND_EPS = 1e-9
 
 
 class Segment:
@@ -260,11 +262,19 @@ class Subflow:
 
     def has_window_space(self) -> bool:
         """True if the congestion window admits one more segment."""
-        return self._in_flight + 1 <= self.cwnd + _EPS
+        return self._in_flight + 1 <= self.cwnd + CWND_EPS
 
     def can_send(self) -> bool:
-        """True if the scheduler may assign *new* data to this subflow."""
-        return self.established and not self._retx_queue and self.has_window_space()
+        """True if the scheduler may assign *new* data to this subflow.
+
+        :attr:`established` and :meth:`has_window_space`, inlined: this
+        runs on every scheduling decision.
+        """
+        return (
+            self.sim.now >= self.established_at
+            and not self._retx_queue
+            and self._in_flight + 1 <= self.cwnd + CWND_EPS
+        )
 
     @property
     def srtt(self) -> Optional[float]:

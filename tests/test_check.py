@@ -515,6 +515,18 @@ class TestCheckCli:
         assert "bulk/ecf" in out
         assert "races:bulk/ecf" in out
 
+    def test_race_skip_is_reported(self, capsys):
+        code = cli_main([
+            "check", "--scenario", "web", "--scheduler", "minrtt", "--orders", "1",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "web/minrtt" in out
+        race_lines = [line for line in out.splitlines() if line.startswith("races:")]
+        assert race_lines == [
+            "races:web              skipped (not in RACE_SCENARIOS)"
+        ]
+
     def test_broken_fixture_cell_fails(self, capsys):
         code = cli_main([
             "check", "--scenario", "bulk", "--scheduler", "ecf-nowait",

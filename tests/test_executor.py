@@ -108,6 +108,21 @@ class TestCacheBehavior:
         again.run([spec])
         assert again.stats.executed == 1
 
+    def test_lookup_never_counts_the_cache(self, tmp_path, monkeypatch):
+        # ResultCache.__len__ globs the whole cache and there is no
+        # __bool__, so a truth test on the cache walks every entry once
+        # per spec: a warm drain of n specs would cost O(n^2) stats.
+        specs = bulk_specs(2, size=16 * 1024)
+        ExperimentExecutor(cache_dir=tmp_path).run(specs[:1])
+
+        def no_len(self):
+            raise AssertionError("ResultCache.__len__ called during run()")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_len)
+        executor = ExperimentExecutor(cache_dir=tmp_path)
+        executor.run(specs)
+        assert executor.stats.cached == 1 and executor.stats.executed == 1
+
     def test_cache_entry_is_self_describing(self, tmp_path):
         spec = bulk_specs(1)[0]
         ExperimentExecutor(cache_dir=tmp_path).run([spec])

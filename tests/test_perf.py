@@ -1,11 +1,15 @@
 """Tests for the perf layer: counters, bench matrix, executor integration,
 and the byte-identity guarantee over the hot-path optimizations."""
 
+import cProfile
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis import sanitize
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.experiments.spec import attach_perf, canonical_json
@@ -260,9 +264,46 @@ class TestByteIdentity:
         assert canonical_json(measured.to_dict()) == plain
 
 
+class TestWorkCount:
+    """Python calls per packet-hop on the golden ``dash_ecf`` run.
+
+    A deterministic work count, so a ceiling catches a hot-path
+    regression that wall time on a noisy host would hide.  The count is
+    Python-version dependent (3.12 inlines comprehensions, PEP 709), so
+    this is an upper bound, not an exact figure: 27.6 calls per hop
+    measured on Python 3.11, plus about 8% headroom.
+    """
+
+    CEILING = 30.0
+
+    def test_repro_calls_per_link_delivery(self, monkeypatch):
+        # Count the plain hot path, also where the suite runs with
+        # REPRO_SANITIZE=1 (the sanitizer adds several calls per hop).
+        monkeypatch.setattr(sanitize, "CHECKS", None)
+        runner, spec = TestByteIdentity()._cases()["dash_ecf"]
+        profile = cProfile.Profile()
+        with perf.collecting() as collector:
+            profile.enable()
+            try:
+                runner(spec)
+            finally:
+                profile.disable()
+        hops = collector.snapshot().packets_delivered
+        root = Path(repro.__file__).resolve().parent
+        calls = sum(
+            entry.callcount
+            for entry in profile.getstats()
+            if not isinstance(entry.code, str)  # C functions
+            and root in Path(entry.code.co_filename).resolve().parents
+        )
+        assert hops > 1000
+        assert calls / hops <= self.CEILING, (
+            f"{calls / hops:.1f} repro calls per link delivery "
+            f"(ceiling {self.CEILING})"
+        )
+
+
 @pytest.fixture(scope="module")
 def golden_digests():
-    from pathlib import Path
-
     path = Path(__file__).parent / "data" / "golden_perf_digests.json"
     return json.loads(path.read_text())

@@ -1,6 +1,10 @@
 """Tests for the path schedulers: the ECF contribution and its baselines."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BlestScheduler,
@@ -12,7 +16,11 @@ from repro.core import (
     SCHEDULER_NAMES,
     make_scheduler,
 )
-from tests.conftest import build_connection, drain
+from repro.core.base import Scheduler
+from repro.mptcp.connection import ConnectionConfig, MptcpConnection
+from repro.sim.engine import Simulator
+from repro.tcp.subflow import Segment
+from tests.conftest import build_connection, build_path, drain
 
 
 def prepared_conn(sim, scheduler_name="minrtt", fast=(10.0, 0.005), slow=(1.0, 0.05), **kw):
@@ -369,3 +377,135 @@ class TestExtras:
         drain(sim)
         assert conn.subflows[1].stats.payload_bytes_sent == 0
         assert conn.delivered_bytes == 1_000_000
+
+
+# ----------------------------------------------------------------------
+# The flattened hot-path helpers against the composition they replaced
+# ----------------------------------------------------------------------
+def ref_can_send(sf):
+    return sf.established and not sf._retx_queue and sf.has_window_space()
+
+
+def ref_fastest(subflows):
+    usable = [sf for sf in subflows if math.isfinite(sf.srtt_or_default())]
+    if not usable:
+        return None
+    return min(usable, key=lambda sf: (sf.srtt_or_default(), sf.sf_id))
+
+
+def ref_fastest_and_second(conn):
+    """(fastest established, fastest other sendable) as ECF/BLEST chose them."""
+    established = [sf for sf in conn.subflows if sf.established]
+    fastest = ref_fastest(established)
+    if fastest is None or ref_can_send(fastest):
+        return fastest, None
+    second = ref_fastest([sf for sf in established if sf is not fastest and ref_can_send(sf)])
+    return fastest, second
+
+
+def ref_ecf_select(scheduler, conn):
+    fastest, second = ref_fastest_and_second(conn)
+    if fastest is None or ref_can_send(fastest):
+        return fastest
+    if second is None or scheduler._should_wait_for_fast(conn, fastest, second):
+        return None
+    return second
+
+
+def ref_blest_select(scheduler, conn):
+    scheduler._update_lambda(conn)
+    fastest, second = ref_fastest_and_second(conn)
+    if fastest is None or ref_can_send(fastest):
+        return fastest
+    if second is None or scheduler._would_block(conn, fastest, second):
+        return None
+    return second
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Few distinct finite values, so equal-SRTT ties are common.
+subflow_states = st.fixed_dictionaries({
+    "srtt": st.sampled_from([None, 0.01, 0.02, 0.05, NAN, INF]),
+    "default_rtt": st.sampled_from([0.01, 0.02, 0.05, INF]),
+    # now is 0.0: established before, exactly at, or after now.
+    "established_at": st.sampled_from([-1.0, 0.0, 1.0]),
+    "in_flight": st.integers(0, 12),
+    # cwnd relative to in_flight + 1; -CWND_EPS is the boundary where
+    # in_flight + 1 == cwnd + 1e-9.
+    "cwnd_offset": st.sampled_from([-1.0, -2e-9, -1e-9, 0.0, 1e-9, 3.0]),
+    "retx": st.booleans(),
+})
+
+
+def randomized_conn(scheduler, states, order, k_segments):
+    """A connection whose subflows carry ``states``, listed in ``order``."""
+    sim = Simulator()
+    paths = [build_path(sim, name=f"p{i}") for i in range(len(states))]
+    conn = MptcpConnection(sim, paths, scheduler, config=ConnectionConfig(handshake_delays=False))
+    for sf, state in zip(conn.subflows, states):
+        if state["srtt"] is not None:
+            sf.rtt.add_sample(0.03)
+            sf.rtt.srtt = state["srtt"]
+        sf._default_rtt = state["default_rtt"]
+        sf.established_at = state["established_at"]
+        sf._in_flight = state["in_flight"]
+        sf.cwnd = state["in_flight"] + 1 + state["cwnd_offset"]
+        if state["retx"]:
+            sf._retx_queue.append(Segment(0, 0, conn.mss, 0.0))
+    conn.subflows = [conn.subflows[i] for i in order]
+    conn.unassigned_bytes = k_segments * conn.mss
+    return conn
+
+
+@st.composite
+def worlds(draw):
+    states = draw(st.lists(subflow_states, min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(states))))
+    k_segments = draw(st.sampled_from([1, 3, 40, 500]))
+    return states, order, k_segments
+
+
+class TestFlattenedSelectionEquivalence:
+    """The one-pass helpers and select() bodies pick exactly what the old
+    established_subflows / fastest / can_send / min(key=...) composition
+    picked, on randomized subflow states (subflows listed out of sf_id
+    order, so the sf_id tie rule is observable)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(worlds())
+    def test_helpers(self, world):
+        conn = randomized_conn(MinRttScheduler(), *world)
+        assert Scheduler.established_subflows(conn) == [
+            sf for sf in conn.subflows if sf.established
+        ]
+        assert Scheduler.available_subflows(conn) == [
+            sf for sf in conn.subflows if ref_can_send(sf)
+        ]
+        for sf in conn.subflows:
+            assert sf.can_send() == ref_can_send(sf)
+        assert Scheduler.fastest(conn.subflows) is ref_fastest(conn.subflows)
+        assert Scheduler.fastest([]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(worlds())
+    def test_minrtt(self, world):
+        conn = randomized_conn(MinRttScheduler(), *world)
+        expected = ref_fastest([sf for sf in conn.subflows if ref_can_send(sf)])
+        assert conn.scheduler.select(conn) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(worlds(), st.booleans())
+    def test_ecf(self, world, waiting):
+        conn = randomized_conn(EcfScheduler(), *world)
+        reference = EcfScheduler()
+        conn.scheduler.waiting = reference.waiting = waiting
+        assert conn.scheduler.select(conn) is ref_ecf_select(reference, conn)
+        assert conn.scheduler.waiting == reference.waiting
+        assert conn.scheduler.ecf_decisions == reference.ecf_decisions
+
+    @settings(max_examples=300, deadline=None)
+    @given(worlds())
+    def test_blest(self, world):
+        conn = randomized_conn(BlestScheduler(), *world)
+        assert conn.scheduler.select(conn) is ref_blest_select(BlestScheduler(), conn)

@@ -1,8 +1,13 @@
 """Tests for the RFC 6298 RTT estimator with ECF's sigma extension."""
 
+import math
+import random
+
 import pytest
 
-from repro.tcp.rtt import RttEstimator
+from repro.sim import snapshot
+from repro.sim.engine import Simulator
+from repro.tcp.rtt import SIGMA_WINDOW, RttEstimator
 
 
 class TestBasics:
@@ -117,3 +122,48 @@ class TestSigma:
     def test_sigma_window_validation(self):
         with pytest.raises(ValueError):
             RttEstimator(sigma_window=1)
+
+
+def two_pass_sigma(samples):
+    """Sample standard deviation, computed fresh (no cache)."""
+    n = len(samples)
+    if n < 2:
+        return 0.0
+    mean = sum(samples) / n
+    return math.sqrt(sum([(x - mean) ** 2 for x in samples]) / (n - 1))
+
+
+class TestSigmaCache:
+    """``sigma`` is cached until the next sample; the cache must never
+    serve a stale value, nor get lost across a snapshot."""
+
+    def test_cached_sigma_matches_fresh_computation(self):
+        rng = random.Random(5)
+        est = RttEstimator()
+        samples = []
+        for i in range(3 * SIGMA_WINDOW):
+            sample = rng.uniform(0.01, 0.3)
+            est.add_sample(sample)
+            samples.append(sample)
+            expected = two_pass_sigma(samples[-SIGMA_WINDOW:])
+            if i % 3 == 2:
+                continue  # some samples go unread: the next read recomputes
+            assert est.sigma == expected  # bit-for-bit, past the window wrap
+            assert est.sigma == expected  # second read is the cached value
+
+    def test_snapshot_preserves_the_cache(self):
+        est = RttEstimator()
+        for sample in (0.05, 0.2, 0.07, 0.11):
+            est.add_sample(sample)
+        cached = est.sigma
+        sim = Simulator()
+        restored = snapshot.restore(snapshot.capture(sim, {"est": est}))["est"]
+        assert restored._sigma == cached
+        assert restored.sigma == cached
+        est.add_sample(0.3)  # invalidated, then captured unread
+        restored = snapshot.restore(snapshot.capture(sim, {"est": est}))["est"]
+        assert restored._sigma is None
+        assert restored.sigma == est.sigma
+        restored.add_sample(0.09)
+        est.add_sample(0.09)
+        assert restored.sigma == est.sigma
