@@ -34,7 +34,6 @@ from repro.core import (
     Scheduler,
     SchedulerSpec,
     build,
-    make_scheduler,
     registered_schedulers,
 )
 from repro.mptcp import ConnectionConfig, MptcpConnection, MptcpReceiver
@@ -65,7 +64,6 @@ __all__ = [
     "SchedulerSpec",
     "CcSpec",
     "build",
-    "make_scheduler",
     "SCHEDULER_NAMES",
     "registered_schedulers",
     # MPTCP connection

@@ -13,7 +13,8 @@ Four layers guard the simulator's invariants:
   (:mod:`repro.analysis.baseline`);
 * :mod:`repro.analysis.sanitize` -- runtime assertion hooks in the
   protocol layers, enabled with ``REPRO_SANITIZE=1`` / ``--sanitize``
-  and compiled down to a single ``is None`` test when off;
+  and reached through :mod:`repro.sim.probe`, so a single ``is None``
+  test when off;
 * :mod:`repro.analysis.events` + :mod:`repro.analysis.check` -- a
   structured event log and a temporal property catalog over it,
   including the :mod:`repro.analysis.reference` differential oracles
@@ -21,10 +22,9 @@ Four layers guard the simulator's invariants:
 * :mod:`repro.analysis.races` -- an event-order race detector re-running
   scenarios under randomized same-timestamp tie-breaking.
 
-Only the sanitizer is imported eagerly: every protocol module imports
-``repro.analysis.sanitize`` and ``repro.analysis.events`` (which run
-this ``__init__``), so importing the heavier layers here would drag the
-scheduler and experiment registries into every hot-path import.
+Only the sanitizer is imported eagerly, so importing it (or the event
+log) stays light; the heavier layers would drag the scheduler and
+experiment registries in with them.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ environment variable route through the latter).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,9 +36,11 @@ from repro.analysis.events import (
     RtoFired,
 )
 from repro.analysis.reference import replay_ecf, replay_minrtt
+from repro.sim import probe as _probe
 
-#: Setting this environment variable to anything non-empty makes the
-#: executor wrap every run in record-and-check (pool workers inherit it).
+#: Switching this environment flag on (see :func:`repro.sim.probe.env_flag`)
+#: makes the executor wrap every run in record-and-check (pool workers
+#: inherit it).
 ENV_VAR = "REPRO_CHECK"
 
 #: Relative tolerance for re-deriving float quantities the implementation
@@ -53,8 +54,8 @@ _MAX_BACKOFF = 64.0
 
 
 def check_enabled() -> bool:
-    """True when the ``REPRO_CHECK`` environment variable is set."""
-    return bool(os.environ.get(ENV_VAR))
+    """True when the ``REPRO_CHECK`` environment flag is on."""
+    return _probe.env_flag(ENV_VAR)
 
 
 class CheckError(AssertionError):

@@ -8,200 +8,40 @@ temporal property checker (:mod:`repro.analysis.check`) and the reference
 oracles (:mod:`repro.analysis.reference`) consume these logs to verify
 the paper's semantics, not just endpoint metrics.
 
-The hook pattern mirrors :mod:`repro.analysis.sanitize`: protocol layers
-do ``if _events.LOG is not None: _events.LOG.emit(...)``, which costs one
-pointer test when logging is off.  Enable a fresh log with
-:func:`start` / :func:`stop`, or the :func:`recording` context manager::
+The record types are defined next to the model's instrumentation pointer
+in :mod:`repro.sim.probe` and re-exported here.  An installed
+:class:`EventLog` sits in the probe's ``log`` slot, so protocol layers
+reach it with one pointer test when logging is off.  Enable a fresh log
+with :func:`start` / :func:`stop`, or the :func:`recording` context
+manager::
 
     from repro.analysis import events
 
     with events.recording() as log:
         run_bulk(spec)
     decisions = log.of_kind(events.EcfDecision)
-
-Objects that appear in events (subflows, receivers, schedulers) carry a
-process-unique ``uid`` from :func:`next_uid`, so records from several
-simultaneous connections (or sequential connections reusing subflow ids,
-as the web workload does) never alias in one log.
-
-This module must stay dependency-free within the package: every protocol
-layer imports it, so it cannot import any of them back.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Any, Deque, Dict, Iterator, List, Optional, Type, TypeVar
 
-_UIDS = itertools.count(1)
-
-
-def next_uid() -> int:
-    """Process-unique id for log subjects (subflows, receivers, ...)."""
-    return next(_UIDS)
-
-
-# ----------------------------------------------------------------------
-# Record types
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Event:
-    """Base record: every event carries its simulated timestamp."""
-
-    t: float
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        for f in fields(self):
-            data[f.name] = getattr(self, f.name)
-        return data
-
-
-@dataclass(frozen=True)
-class Dispatch(Event):
-    """One engine event leaving the heap (``EventLog.capture_dispatch``)."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
-class SegmentSent(Event):
-    """A data segment left a subflow (original or retransmission)."""
-
-    sf_uid: int
-    sf_id: int
-    seq: int
-    dsn: int
-    payload: int
-    retransmitted: bool
-    cwnd: float
-    in_flight: int
-
-
-@dataclass(frozen=True)
-class AckProcessed(Event):
-    """A newly acknowledged segment was absorbed by the sender.
-
-    ``cwnd``, ``in_recovery``, and ``backoff`` are the values *after* the
-    full ACK processing pass (controller action, recovery bookkeeping,
-    loss detection), which is what the temporal properties reason about.
-    """
-
-    sf_uid: int
-    sf_id: int
-    seq: int
-    rtt_sampled: bool
-    cwnd: float
-    in_recovery: bool
-    backoff: float
-
-
-@dataclass(frozen=True)
-class RtoFired(Event):
-    """A retransmission timeout actually expired (not a lazy re-arm)."""
-
-    sf_uid: int
-    sf_id: int
-    backoff_before: float
-    backoff_after: float
-    rto: float
-    outstanding: int
-
-
-@dataclass(frozen=True)
-class FastRetransmit(Event):
-    """Dupack-driven loss recovery started (one per recovery episode)."""
-
-    sf_uid: int
-    sf_id: int
-    seq: int
-    recovery_point: int
-
-
-@dataclass(frozen=True)
-class IdleReset(Event):
-    """RFC 5681 idle restart collapsed a subflow's window to IW."""
-
-    sf_uid: int
-    sf_id: int
-    idle: float
-    rto: float
-    old_cwnd: float
-    new_cwnd: float
-    ssthresh: float
-
-
-@dataclass(frozen=True)
-class Delivered(Event):
-    """The receiver handed one in-order chunk to the application."""
-
-    recv_uid: int
-    dsn: int
-    payload: int
-    delay: float
-
-
-@dataclass(frozen=True)
-class Reinjection(Event):
-    """The meta layer re-sent a DSN on another subflow."""
-
-    conn: str
-    dsn: int
-    payload: int
-    from_sf: int
-    to_sf: int
-    cause: str  # "rto" or "opportunistic"
-
-
-@dataclass(frozen=True)
-class EcfDecision(Event):
-    """One full evaluation of ECF's Algorithm 1 (fast subflow was full).
-
-    Records every input the two inequalities read, the actual threshold
-    the implementation computed, and the waiting state before and after,
-    so the decision can be replayed offline by the reference model.
-    ``decision`` is ``"wait"`` (send nothing, wait for the fast subflow)
-    or ``"slow"`` (send on the second-fastest subflow).
-    """
-
-    sched_uid: int
-    decision: str
-    fastest_uid: int
-    fastest_sf: int
-    second_uid: int
-    second_sf: int
-    k_segments: float
-    cwnd_f: float
-    cwnd_s: float
-    rtt_f: float
-    rtt_s: float
-    delta: float
-    beta: float
-    use_second_inequality: bool
-    waiting_before: bool
-    waiting_after: bool
-    n_rounds: float
-    threshold: float
-    #: True when a twin-run fork overrode Algorithm 1's outcome for this
-    #: decision (the logged ``decision`` is the forced one).
-    forced: bool = False
-
-
-@dataclass(frozen=True)
-class MinRttDecision(Event):
-    """One minRTT pick among the currently available subflows."""
-
-    sched_uid: int
-    chosen_sf: Optional[int]
-    available: Tuple[Tuple[int, float], ...]  # (sf_id, srtt) pairs
-
+from repro.sim import probe as _probe
+from repro.sim.probe import (  # noqa: F401  (re-exported: the records' public path)
+    AckProcessed,
+    Delivered,
+    EcfDecision,
+    Event,
+    FastRetransmit,
+    IdleReset,
+    MinRttDecision,
+    Reinjection,
+    RtoFired,
+    SegmentSent,
+    next_uid,
+)
 
 E = TypeVar("E", bound=Event)
 
@@ -211,7 +51,6 @@ E = TypeVar("E", bound=Event)
 EVENT_TYPES: Dict[str, Type[Event]] = {
     cls.__name__: cls
     for cls in (
-        Dispatch,
         SegmentSent,
         AckProcessed,
         RtoFired,
@@ -261,18 +100,12 @@ class EventLog:
         are dropped and counted in :attr:`dropped`.  Capped logs are for
         interactive inspection -- the property checker refuses partial
         logs by default, since a missing record can fake a violation.
-    capture_dispatch:
-        Also record one :class:`Dispatch` per engine event (very chatty;
-        off by default).
     """
 
-    def __init__(
-        self, capacity: Optional[int] = None, capture_dispatch: bool = False
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
-        self.capture_dispatch = capture_dispatch
         self.dropped = 0
         self._events: Deque[Event] = deque(maxlen=capacity)
 
@@ -312,43 +145,26 @@ class EventLog:
         return f"EventLog(n={len(self._events)}, dropped={self.dropped}, kinds={kinds})"
 
 
-#: The active log, or ``None`` when event logging is off.  Protocol layers
-#: read this through the module (``events.LOG``) so :func:`start` /
-#: :func:`stop` take effect everywhere at once.
-LOG: Optional[EventLog] = None
-
-
-def start(
-    capacity: Optional[int] = None, capture_dispatch: bool = False
-) -> EventLog:
+def start(capacity: Optional[int] = None) -> EventLog:
     """Install (and return) a fresh active log, replacing any current one."""
-    global LOG
-    LOG = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
-    return LOG
+    log = EventLog(capacity=capacity)
+    _probe.install("log", log)
+    return log
 
 
 def stop() -> Optional[EventLog]:
     """Deactivate logging; returns the log that was active, if any."""
-    global LOG
-    log, LOG = LOG, None
+    log: Optional[EventLog] = _probe.install("log", None)
     return log
 
 
 def active() -> bool:
     """True while an event log is installed."""
-    return LOG is not None
+    return _probe.installed("log") is not None
 
 
 @contextmanager
-def recording(
-    capacity: Optional[int] = None, capture_dispatch: bool = False
-) -> Iterator[EventLog]:
+def recording(capacity: Optional[int] = None) -> Iterator[EventLog]:
     """Event-log a block of code; restores the previous log on exit."""
-    global LOG
-    previous = LOG
-    log = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
-    LOG = log
-    try:
+    with _probe.window("log", EventLog(capacity=capacity)) as log:
         yield log
-    finally:
-        LOG = previous

@@ -5,9 +5,10 @@ operation enforces: congestion windows never collapse below one segment,
 data sequence numbers only move forward, link queues conserve bytes, the
 event loop dispatches in non-decreasing time order.  An aggressive
 refactor can silently break any of them and every downstream figure with
-it.  This module is the guardrail: protocol layers call cheap hook
-points (``if CHECKS is not None: CHECKS.xxx(...)``) that are ``None`` --
-and therefore skipped in one pointer test -- unless sanitizing is on.
+it.  This module is the guardrail: :func:`enable` installs a
+:class:`Checks` in the ``checks`` slot of :mod:`repro.sim.probe`, and
+protocol layers call its hook points behind the probe's one pointer
+test, so with sanitizing off each hook point costs one ``is None`` test.
 
 Enable with ``REPRO_SANITIZE=1`` in the environment (read at import
 time, so ``REPRO_SANITIZE=1 pytest`` sanitizes the whole suite), the
@@ -23,15 +24,13 @@ also armed (``REPRO_OBS=1``, see :mod:`repro.obs.flight`), the executor
 catches the escaping error and snapshots a postmortem bundle -- the
 recent event tail, trace tails, and perf counters leading up to the
 violation -- before re-raising it.
-
-This module must stay dependency-free within the package: every protocol
-layer imports it, so it cannot import any of them back.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
+
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -244,29 +243,21 @@ class Checks:
             )
 
 
-#: The active hook object, or ``None`` when sanitizing is off.  Protocol
-#: layers read this through the module (``sanitize.CHECKS``) so
-#: :func:`enable` / :func:`disable` take effect everywhere at once.
-CHECKS: Optional[Checks] = None
-
-
 def enable() -> None:
     """Turn the sanitizer on (idempotent)."""
-    global CHECKS
-    if CHECKS is None:
-        CHECKS = Checks()
+    if _probe.installed("checks") is None:
+        _probe.install("checks", Checks())
 
 
 def disable() -> None:
     """Turn the sanitizer off (idempotent)."""
-    global CHECKS
-    CHECKS = None
+    _probe.install("checks", None)
 
 
 def enabled() -> bool:
     """True while sanitizer checks are active."""
-    return CHECKS is not None
+    return _probe.installed("checks") is not None
 
 
-if os.environ.get(ENV_VAR, "").strip() not in ("", "0"):
+if _probe.env_flag(ENV_VAR):
     enable()

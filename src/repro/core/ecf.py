@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.analysis import events as _events
 from repro.core.base import Scheduler
+from repro.sim import probe as _probe
 from repro.tcp.subflow import CWND_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -214,8 +214,9 @@ class EcfScheduler(Scheduler):
             # Hysteresis clears only when inequality 1 itself fails; a
             # send forced by inequality 2 leaves the waiting state latched.
             self.waiting = False
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.EcfDecision(
+        probe = _probe.PROBE
+        if probe is not None and probe.log is not None:
+            probe.log.emit(_probe.EcfDecision(
                 t=conn.sim.now,
                 sched_uid=self.uid,
                 decision="wait" if wait else "slow",

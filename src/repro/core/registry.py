@@ -6,7 +6,6 @@ schedule), so the registry always returns a *new* instance.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, FrozenSet
 
 from repro.core.base import Scheduler
@@ -77,29 +76,3 @@ def registered_schedulers() -> FrozenSet[str]:
     the user-facing subset sweeps enumerate.
     """
     return frozenset(_FACTORIES)
-
-
-def make_scheduler(name: str, **params: Any) -> Scheduler:
-    """Build a new scheduler by name.
-
-    .. deprecated:: 1.1
-        Construct from a spec instead:
-        ``build(SchedulerSpec.of(name, **params))``
-        (:mod:`repro.core.spec`).  Specs are plain values, so they
-        serialize into experiment specs and the campaign store; a bare
-        ``(name, **params)`` call site does not.
-
-    Raises
-    ------
-    ValueError
-        For an unknown scheduler name.
-    """
-    warnings.warn(
-        "make_scheduler(name, **params) is deprecated; use "
-        "build(SchedulerSpec.of(name, **params)) from repro.core.spec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.spec import SchedulerSpec, build
-
-    return build(SchedulerSpec.of(name, **params))

@@ -28,7 +28,7 @@ from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
-from repro.obs import flight as _flight
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -296,15 +296,14 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
     session.observers.append(_record_gap)
 
     obs_trace: Optional[TraceRecorder] = None
-    if trace is None and _flight.COLLECTOR is not None:
+    recorder = _probe.installed("flight")
+    if trace is None and recorder is not None:
         # Flight recorder on but traces off: sample CWND/send-buffer into
         # a bounded side recorder for the postmortem bundle only.  The
         # recorder adopts itself into the flight window at construction;
         # it is never attached to the result, so the wire format (and the
         # cached digests) are untouched.
-        obs_trace = TraceRecorder(
-            max_samples_per_series=_flight.COLLECTOR.trace_tail
-        )
+        obs_trace = TraceRecorder(max_samples_per_series=recorder.trace_tail)
     for target in (trace, obs_trace):
         if target is None:
             continue

@@ -30,12 +30,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import MSS, Packet
 from repro.net.path import Path
 from repro.mptcp.receiver import MptcpReceiver
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController
 from repro.tcp.subflow import Subflow
@@ -269,12 +267,11 @@ class MptcpConnection:
                     if self.config.penalization_enabled and self.recv_window_limited():
                         self._opportunistic_retransmit()
                     break
-                if _profiler.PROFILER is None:
+                probe = _probe.PROBE
+                if probe is None or probe.profiler is None:
                     subflow = self.scheduler.select(self)
                 else:
-                    subflow = _profiler.PROFILER.call(
-                        "scheduler.decision", self.scheduler.select, self
-                    )
+                    subflow = probe.profiler.call("scheduler.decision", self.scheduler.select, self)
                 if subflow is None:
                     self.scheduler_waits += 1
                     break
@@ -298,8 +295,9 @@ class MptcpConnection:
                         self.duplicate_transmissions += 1
         finally:
             self._sending = False
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.connection(self)
+        probe = _probe.PROBE
+        if probe is not None and probe.checks is not None:
+            probe.checks.connection(self)
 
     def _on_subflow_established(self) -> None:
         self.try_send()
@@ -308,12 +306,11 @@ class MptcpConnection:
     # Client side (runs at the receiver host)
     # ------------------------------------------------------------------
     def _client_on_data(self, packet: Packet) -> None:
-        if _profiler.PROFILER is None:
+        probe = _probe.PROBE
+        if probe is None or probe.profiler is None:
             absorbed = self.receiver.on_data(packet)
         else:
-            absorbed = _profiler.PROFILER.call(
-                "receiver.reassembly", self.receiver.on_data, packet
-            )
+            absorbed = probe.profiler.call("receiver.reassembly", self.receiver.on_data, packet)
         if not absorbed:
             # Dropped for lack of receive-buffer space: stay silent so the
             # subflow-level RTO retransmits the segment once the window
@@ -337,8 +334,9 @@ class MptcpConnection:
         self.try_send()
 
     def _advance_conn_una(self, data_ack: int) -> None:
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.conn_una_advance(self, data_ack)
+        probe = _probe.PROBE
+        if probe is not None and probe.checks is not None:
+            probe.checks.conn_una_advance(self, data_ack)
         self.conn_una = data_ack
         while self._dsn_order and self._dsn_order[0] < data_ack:
             del self._outstanding_dsn[self._dsn_order.popleft()]
@@ -375,19 +373,18 @@ class MptcpConnection:
             # the kernel), so path policy is preserved -- a primary-only
             # policy never spills onto the secondary, and a waiting ECF
             # defers the reinjection like any other segment.
-            if _profiler.PROFILER is None:
+            probe = _probe.PROBE
+            if probe is None or probe.profiler is None:
                 target = self.scheduler.select(self)
             else:
-                target = _profiler.PROFILER.call(
-                    "scheduler.decision", self.scheduler.select, self
-                )
+                target = probe.profiler.call("scheduler.decision", self.scheduler.select, self)
             if target is None or target.sf_id == owner_id or not target.can_send():
                 return
             self._rto_reinject_queue.popleft()
             self._rto_reinject_pending.discard(dsn)
             self.reinjections += 1
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.Reinjection(
+            if probe is not None and probe.log is not None:
+                probe.log.emit(_probe.Reinjection(
                     t=self.sim.now,
                     conn=self.name,
                     dsn=dsn,
@@ -428,8 +425,9 @@ class MptcpConnection:
             return
         self._reinjected.add(self.conn_una)
         self.reinjections += 1
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.Reinjection(
+        probe = _probe.PROBE
+        if probe is not None and probe.log is not None:
+            probe.log.emit(_probe.Reinjection(
                 t=self.sim.now,
                 conn=self.name,
                 dsn=self.conn_una,

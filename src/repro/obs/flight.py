@@ -6,9 +6,10 @@ CLI's ``--obs``), every executor run keeps a bounded ring buffer of
 recent typed protocol events (reusing the record types of
 :mod:`repro.analysis.events`) and adopts, at construction time, the
 simulators, links, schedulers, and :class:`~repro.sim.trace.TraceRecorder`
-instances built while it is active -- the same one-pointer-test hook
-pattern as :mod:`repro.analysis.sanitize` and :mod:`repro.perf.counters`,
-so the hot path is untouched when observability is off.
+instances built while it is active.  Both reach the model through
+:mod:`repro.sim.probe` (the ring in the ``log`` slot, the recorder in the
+``flight`` slot), so the hot path is untouched when observability is
+off.
 
 When a run dies -- a :class:`~repro.analysis.sanitize.SanitizerError`, a
 :class:`~repro.analysis.check.CheckError`, a
@@ -21,11 +22,6 @@ derived from the spec hash, so retries overwrite rather than accumulate
 and the run journal can point at them.  Export a bundle with::
 
     python -m repro.cli trace export .repro-obs/postmortem-<hash> -o out.json
-
-This module must stay dependency-free within the package apart from the
-leaf modules it aggregates (:mod:`repro.analysis.events`,
-:mod:`repro.perf.counters`): the engine, links, schedulers, and trace
-recorder all import it, so it cannot import any of them back.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.analysis import events as _events
 from repro.perf import counters as _perf
+from repro.sim import probe as _probe
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -63,7 +60,7 @@ BUNDLE_SCHEMA_VERSION = 1
 
 def obs_enabled() -> bool:
     """True when the environment asks for the flight recorder."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _probe.env_flag(ENV_VAR)
 
 
 def obs_dir() -> Path:
@@ -111,28 +108,20 @@ class FlightRecorder:
         self.trace_tail = trace_tail
         #: The ring buffer; set by :func:`flight` once installed.
         self.log: Optional[_events.EventLog] = None
-        self._sims: List[Any] = []
         self._traces: List[Any] = []
         self._perf = _perf.PerfCollector()
 
-    # -- adoption hooks (called from constructors) ----------------------
-    def adopt_sim(self, sim: Any) -> None:
-        self._sims.append(sim)
-        self._perf.adopt_sim(sim)
-
-    def adopt_link(self, link: Any) -> None:
-        self._perf.adopt_link(link)
-
-    def adopt_scheduler(self, scheduler: Any) -> None:
-        self._perf.adopt_scheduler(scheduler)
-
-    def adopt_trace(self, recorder: Any) -> None:
-        self._traces.append(recorder)
+    def adopt(self, kind: str, obj: Any) -> None:
+        """Probe adoption hook (see :func:`repro.sim.probe.adopt`)."""
+        if kind == "trace":
+            self._traces.append(obj)
+        else:
+            self._perf.adopt(kind, obj)
 
     # -- snapshots -------------------------------------------------------
     def sim_now(self) -> float:
         """Largest simulated clock reached by any adopted simulator."""
-        return max((sim.now for sim in self._sims), default=0.0)
+        return self._perf.snapshot().sim_time
 
     def counters(self) -> _perf.PerfSnapshot:
         """Perf counter totals over every adopted object."""
@@ -221,12 +210,6 @@ class FlightRecorder:
         return bundle
 
 
-#: The active flight recorder, or ``None`` (the default: recording off).
-#: Constructors read this through the module (``flight.COLLECTOR``) so one
-#: pointer test decides whether anything is adopted.
-COLLECTOR: Optional[FlightRecorder] = None
-
-
 @contextmanager
 def flight(
     capacity: int = DEFAULT_CAPACITY, trace_tail: int = DEFAULT_TRACE_TAIL
@@ -234,17 +217,11 @@ def flight(
     """Open a flight-recording window; restores previous state on exit.
 
     Installs a fresh :class:`FlightRecorder` as the adoption target and a
-    capacity-capped event log as the active
-    :data:`repro.analysis.events.LOG` (the ring buffer).  Windows nest;
-    the innermost wins, exactly like :func:`repro.perf.counters.collecting`.
+    capacity-capped event log as the active log (the ring buffer).
+    Windows nest; the innermost wins, exactly like
+    :func:`repro.perf.counters.collecting`.
     """
-    global COLLECTOR
-    previous = COLLECTOR
     recorder = FlightRecorder(capacity=capacity, trace_tail=trace_tail)
-    COLLECTOR = recorder
-    try:
-        with _events.recording(capacity=capacity) as log:
-            recorder.log = log
-            yield recorder
-    finally:
-        COLLECTOR = previous
+    with _probe.window("flight", recorder), _events.recording(capacity=capacity) as log:
+        recorder.log = log
+        yield recorder

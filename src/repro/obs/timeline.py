@@ -255,9 +255,6 @@ def timeline_document(
                 "scheduler", event.sched_uid, f"minrtt scheduler (uid {event.sched_uid})"
             )
             instant("minrtt pick", event, tid)
-        elif isinstance(event, _events.Dispatch):
-            # One per engine event; far too chatty to chart individually.
-            continue
 
     # Close any recovery episode still open when the log ends.
     for sf_uid, (start, cause, seq) in open_recovery.items():

@@ -3,7 +3,7 @@
 :mod:`repro.perf.counters` aggregates per-run event/packet/decision
 counters at zero hot-path cost; :mod:`repro.perf.profiler` attributes
 host wall time to simulation components (collapsed-stack/flamegraph
-output, registry histograms) behind the same pointer-test idiom; and
+output, registry histograms) behind the :mod:`repro.sim.probe` pointer; and
 :mod:`repro.perf.bench` runs the pinned workload matrix behind ``python
 -m repro.cli bench`` and emits the machine-readable ``BENCH_<rev>.json``
 perf trajectory.
@@ -27,11 +27,6 @@ from repro.perf.profiler import (
     profile_enabled,
     profiling,
 )
-
-# NOTE: the live ``COLLECTOR`` / ``PROFILER`` globals are deliberately
-# not re-exported -- a ``from repro.perf import COLLECTOR`` would freeze
-# the binding at import time.  Read them as ``counters.COLLECTOR`` /
-# ``profiler.PROFILER`` (hook sites do).
 
 __all__ = [
     "ENV_VAR",

@@ -10,11 +10,11 @@ the :class:`~repro.sim.engine.Simulator`, packet counters on
 
 * a window is opened with :func:`collecting` (or implicitly by the
   ``REPRO_PERF=1`` environment variable + :func:`measure`), which installs
-  a process-global :data:`COLLECTOR`;
-* ``Simulator``, ``Link``, and ``Scheduler`` constructors check the global
-  once at *construction* time and register themselves when a window is
-  open -- so when collection is off the hot path is untouched, and when it
-  is on the only added cost is one pointer test per object built;
+  a :class:`PerfCollector` in the ``perf`` slot of :mod:`repro.sim.probe`;
+* ``Simulator``, ``Link``, and ``Scheduler`` constructors hand themselves
+  to the probe once at *construction* time, and the probe passes them to
+  the open window -- a perf window never sets the per-event pointer, so
+  the hot path is the same bare path as with collection off;
 * :meth:`PerfCollector.snapshot` sums the adopted objects' lifetime
   counters into a :class:`PerfSnapshot`.
 
@@ -22,19 +22,16 @@ Every counter in a snapshot is a deterministic function of the simulated
 run (same spec, same counts -- asserted in tests).  Wall-clock time is
 *not*: :func:`measure` reports it separately in the :class:`PerfRecord`
 so deterministic and noisy quantities never mix in one field.
-
-This module must stay dependency-free within the package (like
-:mod:`repro.analysis.sanitize`): the engine and link import it, so it
-cannot import any protocol layer back.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
+
+from repro.sim import probe as _probe
 
 #: Environment variable that enables perf collection around executor runs.
 ENV_VAR = "REPRO_PERF"
@@ -42,7 +39,7 @@ ENV_VAR = "REPRO_PERF"
 
 def perf_enabled() -> bool:
     """True when the environment asks for per-run perf records."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _probe.env_flag(ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -122,15 +119,14 @@ class PerfCollector:
         self._link_stats: List[Any] = []
         self._schedulers: List[Any] = []
 
-    # -- adoption hooks (called from constructors) ----------------------
-    def adopt_sim(self, sim: Any) -> None:
-        self._sims.append(sim)
-
-    def adopt_link(self, link: Any) -> None:
-        self._link_stats.append(link.stats)
-
-    def adopt_scheduler(self, scheduler: Any) -> None:
-        self._schedulers.append(scheduler)
+    def adopt(self, kind: str, obj: Any) -> None:
+        """Probe adoption hook (see :func:`repro.sim.probe.adopt`)."""
+        if kind == "sim":
+            self._sims.append(obj)
+        elif kind == "link":
+            self._link_stats.append(obj.stats)
+        elif kind == "scheduler":
+            self._schedulers.append(obj)
 
     def adopted_counts(self) -> Dict[str, int]:
         """How many objects of each kind this collector adopted."""
@@ -178,10 +174,6 @@ class PerfCollector:
         )
 
 
-#: The active collector, or ``None`` (the default: collection off).
-COLLECTOR: Optional[PerfCollector] = None
-
-
 @contextmanager
 def collecting() -> Iterator[PerfCollector]:
     """Open a collection window; restores the previous collector on exit.
@@ -190,13 +182,8 @@ def collecting() -> Iterator[PerfCollector]:
     window are not re-adopted by an inner one -- each object belongs to
     the window that was active when it was constructed.
     """
-    global COLLECTOR
-    previous = COLLECTOR
-    COLLECTOR = collector = PerfCollector()
-    try:
+    with _probe.window("perf", PerfCollector()) as collector:
         yield collector
-    finally:
-        COLLECTOR = previous
 
 
 def measure(runner: Callable[..., Any], *args: Any) -> Tuple[Any, PerfRecord]:

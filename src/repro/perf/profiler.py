@@ -7,13 +7,11 @@ subflow processing, receiver reassembly, scheduler decisions, congestion
 control updates, application callbacks) without perturbing the
 simulation in any way:
 
-* **Zero-cost when off.**  Every hook site reads the module-global
-  :data:`PROFILER` and tests it against ``None`` -- the same
-  construction-time/pointer-test idiom the perf counters
-  (:data:`repro.perf.counters.COLLECTOR`), the sanitizer, and the flight
-  recorder use.  With the profiler off, the engine keeps its hooks-off
-  fast path; the six golden digests are pinned by
-  ``tests/test_perf.py`` and must not move.
+* **Zero-cost when off.**  :func:`profiling` installs the profiler in
+  the ``profiler`` slot of :mod:`repro.sim.probe`; hook sites reach it
+  behind the probe's one pointer test, like every other tool.  With the
+  profiler off, the engine keeps its hooks-off fast path; the six golden
+  digests are pinned by ``tests/test_perf.py`` and must not move.
 * **Byte-identity safe when on.**  The profiler only *reads* the host
   clock around dispatches; it never touches simulated time, event order,
   or protocol state, so results (and digests) are identical with it on
@@ -37,17 +35,18 @@ component so the collapsed-stack output reads like a flamegraph::
 FlameGraph renderer).  :meth:`SimProfiler.publish` folds the same data
 into the :mod:`repro.obs.metrics` registry histograms.
 
-Enable with ``REPRO_PROFILE=1`` (honored by the CLI), the
-:func:`profiling` context manager, or ``python -m repro.cli bench
---profile out.txt``.
+Enable with the :func:`profiling` context manager or ``python -m
+repro.cli bench --profile out.txt``; :func:`profile_enabled` reads the
+``REPRO_PROFILE`` flag for callers that want an environment toggle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Tuple, TypeVar
+
+from repro.sim import probe as _probe
 
 #: Environment toggle (mirrors ``REPRO_PERF`` / ``REPRO_OBS``).
 ENV_VAR = "REPRO_PROFILE"
@@ -74,7 +73,7 @@ _T = TypeVar("_T")
 
 def profile_enabled() -> bool:
     """True when ``REPRO_PROFILE`` requests profiling."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0", "false", "no")
+    return _probe.env_flag(ENV_VAR)
 
 
 class SimProfiler:
@@ -102,11 +101,11 @@ class SimProfiler:
         self._run_wall: float = 0.0
         self._sims_adopted: int = 0
 
-    # -- adoption (construction-time, engine __init__) ------------------
-    def adopt_sim(self, sim: Any) -> None:
-        """Note a simulator built while profiling (count only; the
-        engine's ``run()`` does the actual bracketing)."""
-        self._sims_adopted += 1
+    def adopt(self, kind: str, obj: Any) -> None:
+        """Probe adoption hook: count simulators built while profiling
+        (the engine's ``run()`` does the actual bracketing)."""
+        if kind == "sim":
+            self._sims_adopted += 1
 
     # -- engine dispatch bracketing -------------------------------------
     def classify(self, callback: Callable[..., Any]) -> str:
@@ -163,8 +162,8 @@ class SimProfiler:
     # -- nested hot-spot hooks ------------------------------------------
     def call(self, name: str, fn: Callable[..., _T], *args: Any) -> _T:
         """Time ``fn(*args)`` as hot-spot ``name`` nested under the
-        component currently dispatching (call sites guard with
-        ``PROFILER is not None``, so this never runs when off)."""
+        component currently dispatching (call sites reach it through
+        ``repro.sim.probe.PROBE``, so this never runs when off)."""
         t0 = time.perf_counter()  # repro: noqa[RPR101]
         try:
             return fn(*args)
@@ -277,31 +276,17 @@ class SimProfiler:
             histogram.merge_counts(bucket_counts, total_wall, component=name)
 
 
-#: The live profiler, or ``None`` (the overwhelmingly common case).
-#: Hook sites read this through the module (``_profiler.PROFILER``) so
-#: rebinding is visible everywhere; one global load + ``is None`` test
-#: is the entire cost when off.
-PROFILER: Optional[SimProfiler] = None
-
-
 @contextmanager
 def profiling() -> Iterator[SimProfiler]:
     """Install a fresh :class:`SimProfiler` for the body; restores the
-    previous global on exit (nesting replaces, it does not stack)."""
-    global PROFILER
-    previous = PROFILER
-    profiler = SimProfiler()
-    PROFILER = profiler
-    try:
+    previous one on exit (nesting replaces, it does not stack)."""
+    with _probe.window("profiler", SimProfiler()) as profiler:
         yield profiler
-    finally:
-        PROFILER = previous
 
 
 __all__ = [
     "BUCKET_BOUNDS",
     "ENV_VAR",
-    "PROFILER",
     "SimProfiler",
     "profile_enabled",
     "profiling",

@@ -24,11 +24,7 @@ import heapq
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Tuple
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
-from repro.obs import flight as _flight
-from repro.perf import counters as _perf
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -203,12 +199,7 @@ class Simulator:
         self._timers_cancelled: int = 0
         self._stale_pops: int = 0
         self._compactions: int = 0
-        if _perf.COLLECTOR is not None:
-            _perf.COLLECTOR.adopt_sim(self)
-        if _flight.COLLECTOR is not None:
-            _flight.COLLECTOR.adopt_sim(self)
-        if _profiler.PROFILER is not None:
-            _profiler.PROFILER.adopt_sim(self)
+        _probe.adopt("sim", self)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -305,13 +296,12 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         # Bound once per run() call: a branch on a local is free in the
-        # hot loop, and toggling the sanitizer or event log mid-run is not
-        # supported.
-        checks = _sanitize.CHECKS
-        log = _events.LOG
-        if log is not None and not log.capture_dispatch:
-            log = None
-        profiler = _profiler.PROFILER
+        # hot loop, and installing or removing a tool mid-run is not
+        # supported.  Of the probed tools only the sanitizer and the
+        # profiler act per dispatch.
+        probe = _probe.PROBE
+        checks = None if probe is None else probe.checks
+        profiler = None if probe is None else probe.profiler
         # Normalized stop conditions: one float compare and one int
         # compare per event instead of two None tests.  Counting up by one
         # from zero makes ``executed == budget`` equivalent to the
@@ -322,10 +312,11 @@ class Simulator:
         if profiler is not None:
             run_token = profiler.run_started()
         try:
-            if checks is None and log is None and profiler is None:
+            if checks is None and profiler is None:
                 # Fast path: the common (hooks-off) per-packet loop.  Kept
-                # branch-identical to the instrumented loop below -- any
-                # semantic edit must be applied to both.
+                # branch-identical to the probed loop below -- any semantic
+                # edit must be applied to both;
+                # tests/test_perf.py::TestAllToolsAtOnce proves they agree.
                 while heap:
                     entry = heap[0]
                     timer = entry[2]
@@ -357,8 +348,6 @@ class Simulator:
                     pop(heap)
                     if checks is not None:
                         checks.event_dispatch(self.now, time)
-                    if log is not None:
-                        log.emit(_events.Dispatch(t=time, seq=timer.seq))
                     self.now = time
                     timer.cancelled = True  # consumed; cancel() after firing is a no-op
                     if profiler is not None:

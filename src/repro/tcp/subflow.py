@@ -25,11 +25,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import ACK_SIZE, HEADER_SIZE, MSS, Packet
 from repro.net.path import Path
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator, Timer
 from repro.tcp.rtt import RttEstimator
 
@@ -198,7 +196,7 @@ class Subflow:
         self.path = path
         self.cc = cc
         self.sf_id = sf_id
-        self.uid = _events.next_uid()
+        self.uid = _probe.next_uid()
         self.mss = int(mss)
         self.initial_window = float(initial_window)
         self.idle_reset_enabled = idle_reset_enabled
@@ -325,8 +323,9 @@ class Subflow:
                 self.ssthresh = max(self.ssthresh, 0.75 * self.cwnd)
             self.cwnd = self.initial_window
             self.stats.idle_resets += 1
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.IdleReset(
+            probe = _probe.PROBE
+            if probe is not None and probe.log is not None:
+                probe.log.emit(_probe.IdleReset(
                     t=self.sim.now,
                     sf_uid=self.uid,
                     sf_id=self.sf_id,
@@ -364,8 +363,9 @@ class Subflow:
         )
         if self.receiver_callback is None:
             raise RuntimeError("subflow.receiver_callback not wired")
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.SegmentSent(
+        probe = _probe.PROBE
+        if probe is not None and probe.log is not None:
+            probe.log.emit(_probe.SegmentSent(
                 t=now,
                 sf_uid=self.uid,
                 sf_id=self.sf_id,
@@ -415,18 +415,21 @@ class Subflow:
         self._advance_una()
         if self._in_recovery and self.una > self._recovery_point:
             self._in_recovery = False
+        probe = _probe.PROBE
         if not self._in_recovery:
-            if _profiler.PROFILER is None:
+            if probe is None or probe.profiler is None:
                 self.cc.on_ack(self, 1)
             else:
-                _profiler.PROFILER.call("cc.update", self.cc.on_ack, self, 1)
+                probe.profiler.call("cc.update", self.cc.on_ack, self, 1)
         self._detect_losses()
         self._service_retransmissions()
         self._arm_rto()
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.subflow(self)
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.AckProcessed(
+        if probe is None:
+            return
+        if probe.checks is not None:
+            probe.checks.subflow(self)
+        if probe.log is not None:
+            probe.log.emit(_probe.AckProcessed(
                 t=now,
                 sf_uid=self.uid,
                 sf_id=self.sf_id,
@@ -475,12 +478,13 @@ class Subflow:
             self._recovery_point = self.next_seq - 1
             self.stats.fast_retransmits += 1
             self.stats.bytes_since_loss = 0
-            if _profiler.PROFILER is None:
+            probe = _probe.PROBE
+            if probe is None or probe.profiler is None:
                 self.cc.on_loss(self)
             else:
-                _profiler.PROFILER.call("cc.update", self.cc.on_loss, self)
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.FastRetransmit(
+                probe.profiler.call("cc.update", self.cc.on_loss, self)
+            if probe is not None and probe.log is not None:
+                probe.log.emit(_probe.FastRetransmit(
                     t=self.sim.now,
                     sf_uid=self.uid,
                     sf_id=self.sf_id,
@@ -523,8 +527,9 @@ class Subflow:
         self.stats.bytes_since_loss = 0
         backoff_before = self._rto_backoff
         self._rto_backoff = min(MAX_BACKOFF, self._rto_backoff * 2.0)
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.RtoFired(
+        probe = _probe.PROBE
+        if probe is not None and probe.log is not None:
+            probe.log.emit(_probe.RtoFired(
                 t=self.sim.now,
                 sf_uid=self.uid,
                 sf_id=self.sf_id,
@@ -533,10 +538,10 @@ class Subflow:
                 rto=self.rtt.rto,
                 outstanding=len(self._outstanding),
             ))
-        if _profiler.PROFILER is None:
+        if probe is None or probe.profiler is None:
             self.cc.on_rto(self)
         else:
-            _profiler.PROFILER.call("cc.update", self.cc.on_rto, self)
+            probe.profiler.call("cc.update", self.cc.on_rto, self)
         self._in_recovery = True
         self._recovery_point = self.next_seq - 1
         # Everything unacked goes back to the retransmission queue in
@@ -553,8 +558,8 @@ class Subflow:
             self._retx_queue.append(segment)
         self._service_retransmissions()
         self._arm_rto()
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.subflow(self)
+        if probe is not None and probe.checks is not None:
+            probe.checks.subflow(self)
         if self.on_rto is not None:
             self.on_rto(self)
 

@@ -301,7 +301,7 @@ class TestSanitizer:
         subflow = conn.subflows[0]
         subflow.cwnd = 0.1
         with pytest.raises(SanitizerError, match="cwnd >= 1 MSS"):
-            sanitize.CHECKS.cwnd(subflow)
+            Checks().cwnd(subflow)
 
     def test_ssthresh_zero_detected(self, sanitized):
         sim = Simulator()
@@ -309,7 +309,7 @@ class TestSanitizer:
         subflow = conn.subflows[0]
         subflow.ssthresh = 0.0
         with pytest.raises(SanitizerError, match="ssthresh > 0"):
-            sanitize.CHECKS.cwnd(subflow)
+            Checks().cwnd(subflow)
 
     def test_corruption_caught_mid_simulation(self, sanitized):
         sim = Simulator()
@@ -341,7 +341,7 @@ class TestSanitizer:
         was_on = sanitize.enabled()
         sanitize.disable()
         try:
-            assert sanitize.CHECKS is None
+            assert not sanitize.enabled()
             sim = Simulator()
             conn = build_connection(sim)
             conn.subflows[0].cwnd = 0.1  # corrupt; nothing should notice

@@ -16,7 +16,8 @@ from repro.analysis.reference import EcfReference, replay_ecf, replay_minrtt
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.cli import main as cli_main
 from repro.core.ecf import EcfScheduler
-from repro.core.registry import SCHEDULER_NAMES, make_scheduler
+from repro.core.registry import SCHEDULER_NAMES
+from repro.core.spec import SchedulerSpec, build
 from repro.net.profiles import lte_config, wifi_config
 from repro.sim.engine import SimulationError, Simulator, forced_tie_break
 from tests.conftest import build_connection
@@ -84,34 +85,38 @@ class TestEventLog:
         assert data["rtt_s"] == 0.1
 
     def test_start_stop_active(self):
-        previous = events.stop()  # detach whatever the suite left active
+        assert not events.active()  # off by default
+        log = events.start()
         try:
-            assert not events.active()
-            log = events.start()
             assert events.active()
-            assert events.LOG is log
-            assert events.stop() is log
-            assert not events.active()
+            run_bulk(bulk_spec("ecf", size=16_000))
         finally:
-            events.LOG = previous
+            stopped = events.stop()
+        assert stopped is log
+        assert len(log) > 0
+        assert not events.active()
+        assert events.stop() is None
 
     def test_recording_restores_previous_log(self):
-        outer = events.EventLog()
-        previous, events.LOG = events.LOG, outer
-        try:
+        with events.recording() as outer:
             with events.recording() as inner:
-                assert events.LOG is inner
                 assert inner is not outer
-            assert events.LOG is outer
-        finally:
-            events.LOG = previous
+                run_bulk(bulk_spec("ecf", size=16_000))
+            seen_inner = len(inner)
+            assert seen_inner > 0 and len(outer) == 0  # the innermost wins
+            run_bulk(bulk_spec("ecf", size=16_000))
+            assert len(outer) > 0  # ... and the outer log is back on exit
+        assert not events.active()
+        assert len(inner) == seen_inner
 
     def test_recording_restores_on_exception(self):
-        previous = events.LOG
-        with pytest.raises(RuntimeError):
-            with events.recording():
-                raise RuntimeError("boom")
-        assert events.LOG is previous
+        with events.recording() as outer:
+            with pytest.raises(RuntimeError):
+                with events.recording():
+                    raise RuntimeError("boom")
+            run_bulk(bulk_spec("ecf", size=16_000))
+            assert len(outer) > 0
+        assert not events.active()
 
 
 class TestInstrumentation:
@@ -140,11 +145,8 @@ class TestInstrumentation:
         )
 
     def test_no_log_no_records(self):
-        previous = events.stop()
-        try:
-            run_bulk(bulk_spec("ecf"))  # must not blow up with LOG=None
-        finally:
-            events.LOG = previous
+        assert not events.active()
+        run_bulk(bulk_spec("ecf"))  # must not blow up with no log installed
 
     def test_uids_disambiguate_subflows(self, sim):
         with events.recording() as log:
@@ -389,7 +391,7 @@ class TestFixturesAndOracle:
     def test_fixture_names_registered_but_not_advertised(self):
         for name in FIXTURE_SCHEDULERS:
             assert name not in SCHEDULER_NAMES
-            scheduler = make_scheduler(name)
+            scheduler = build(SchedulerSpec.of(name))
             assert isinstance(scheduler, EcfScheduler)
 
     def test_nowait_fixture_diverges_from_reference(self, sim):

@@ -33,7 +33,6 @@ def bulk_spec(scheduler="ecf", size=96_000, seed=3):
 def sample_events():
     """One instance of every concrete record kind."""
     return [
-        events.Dispatch(t=0.0, seq=1),
         events.SegmentSent(
             t=0.1, sf_uid=3, sf_id=0, seq=2, dsn=1448, payload=1448,
             retransmitted=False, cwnd=10.0, in_flight=4,
@@ -61,6 +60,11 @@ def sample_events():
             t=0.9, sched_uid=2, chosen_sf=0, available=((0, 0.01), (1, 0.1)),
         ),
     ]
+
+
+def delivered(dsn):
+    """A minimal record, numbered by its DSN."""
+    return events.Delivered(t=float(dsn), recv_uid=1, dsn=dsn, payload=1, delay=0.0)
 
 
 def ecf_decision(t=0.0, decision="fast", **kw):
@@ -119,18 +123,18 @@ def Event_subclasses():
 class TestEventLogBounding:
     def test_capacity_drops_oldest(self):
         log = events.EventLog(capacity=3)
-        for seq in range(5):
-            log.emit(events.Dispatch(t=float(seq), seq=seq))
+        for dsn in range(5):
+            log.emit(delivered(dsn))
         assert len(log) == 3
         assert log.dropped == 2
-        assert [e.seq for e in log.events()] == [2, 3, 4]
+        assert [e.dsn for e in log.events()] == [2, 3, 4]
 
     def test_tail(self):
         log = events.EventLog()
-        for seq in range(4):
-            log.emit(events.Dispatch(t=float(seq), seq=seq))
-        assert [e.seq for e in log.tail(2)] == [2, 3]
-        assert [e.seq for e in log.tail(99)] == [0, 1, 2, 3]
+        for dsn in range(4):
+            log.emit(delivered(dsn))
+        assert [e.dsn for e in log.tail(2)] == [2, 3]
+        assert [e.dsn for e in log.tail(99)] == [0, 1, 2, 3]
         assert log.tail(0) == []
 
     def test_uids_never_alias_across_sequential_connections(self):
@@ -149,16 +153,19 @@ class TestEventLogBounding:
 
 class TestFlightRecorder:
     def test_window_installs_and_restores(self):
-        assert flight.COLLECTOR is None
+        assert not events.active()
         with flight.flight(capacity=64) as recorder:
-            assert flight.COLLECTOR is recorder
-            assert events.LOG is recorder.log
+            assert events.active()
             assert recorder.log.capacity == 64
             with flight.flight(capacity=8) as inner:
-                assert flight.COLLECTOR is inner
-            assert flight.COLLECTOR is recorder
-        assert flight.COLLECTOR is None
-        assert events.LOG is None
+                run_bulk(bulk_spec(size=16_000))
+            assert len(inner.log) == 8  # the innermost wins ...
+            assert recorder.counters().events_dispatched == 0
+            assert len(recorder.log) == 0
+            run_bulk(bulk_spec(size=16_000))
+            assert recorder.counters().events_dispatched > 0  # ... until it exits
+            assert len(recorder.log) > 0
+        assert not events.active()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -204,7 +211,7 @@ class TestFlightRecorder:
         # run_with_checks attaches its own (uncapped) log to escaping
         # errors; the bundle must carry that, not the shadowed ring.
         full = events.EventLog()
-        full.emit(events.Dispatch(t=1.0, seq=42))
+        full.emit(delivered(42))
         error = RuntimeError("boom")
         error.event_log = full
         with flight.flight(capacity=8) as recorder:
@@ -213,7 +220,7 @@ class TestFlightRecorder:
                 root=tmp_path,
             )
         loaded = timeline.load_bundle(bundle)
-        assert [e.seq for e in loaded["events"]] == [42]
+        assert [e.dsn for e in loaded["events"]] == [42]
 
 
 class TestExecutorObservability:

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import sanitize
+from repro.analysis import events, sanitize
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.experiments.spec import attach_perf, canonical_json
 from repro.net.profiles import lte_config, wifi_config
+from repro.obs import flight
 from repro.perf import counters as perf
 from repro.perf.bench import (
     BENCH_SCHEMA_VERSION,
@@ -24,6 +25,8 @@ from repro.perf.bench import (
     run_bench,
     run_workload,
 )
+from repro.perf.profiler import profiling
+from repro.sim import probe
 from repro.sim.engine import Simulator
 from repro.workloads.web import WebBrowsingSpec, cnn_like_page, run_web
 
@@ -37,7 +40,7 @@ SMALL_BULK = BulkDownloadSpec(
 
 class TestCollector:
     def test_no_collection_by_default(self):
-        assert perf.COLLECTOR is None
+        assert probe.installed("perf") is None
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()  # nothing to assert beyond "untouched hot path works"
@@ -61,15 +64,30 @@ class TestCollector:
         assert collector.snapshot().events_dispatched == 0
 
     def test_windows_nest_and_restore(self):
+        def one_event():
+            sim = Simulator()
+            sim.schedule(1.0, lambda: None)
+            sim.run()
+
         with perf.collecting() as outer:
             with perf.collecting() as inner:
-                sim = Simulator()
-                sim.schedule(1.0, lambda: None)
-                sim.run()
-            assert perf.COLLECTOR is outer
-        assert perf.COLLECTOR is None
+                one_event()
+            assert outer.snapshot().events_dispatched == 0  # the innermost wins
+            one_event()
+        one_event()
         assert inner.snapshot().events_dispatched == 1
-        assert outer.snapshot().events_dispatched == 0
+        assert outer.snapshot().events_dispatched == 1  # back after the inner exits
+        assert probe.installed("perf") is None
+
+    def test_window_restores_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with perf.collecting():
+                raise RuntimeError("boom")
+        assert probe.installed("perf") is None
+
+    def test_perf_window_keeps_the_bare_hot_path(self, sanitizer_off):
+        with perf.collecting():
+            assert probe.PROBE is None
 
     def test_full_run_populates_every_counter_family(self):
         result, record = perf.measure(run_bulk, SMALL_BULK)
@@ -264,6 +282,49 @@ class TestByteIdentity:
         assert canonical_json(measured.to_dict()) == plain
 
 
+class TestAllToolsAtOnce:
+    """Every tool on at once changes no result and no record.
+
+    The sanitizer and the profiler send ``Simulator.run`` down its probed
+    loop, so this is the proof that the bare and probed loops agree.
+    """
+
+    def test_golden_digests_and_event_log_unchanged(self, golden_digests):
+        for name, (runner, spec) in TestByteIdentity()._cases().items():
+            with events.recording() as alone:
+                runner(spec)
+            was_on = sanitize.enabled()
+            sanitize.enable()
+            try:
+                with perf.collecting() as collector, flight.flight() as recorder, \
+                        profiling() as prof, events.recording() as log:
+                    result = runner(spec)
+            finally:
+                if not was_on:
+                    sanitize.disable()
+            digest = hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
+            assert digest == golden_digests[name], name
+            assert len(log) > 0
+            assert _uid_free(log) == _uid_free(alone), name
+            assert collector.snapshot().events_dispatched > 0
+            assert recorder.counters().events_dispatched > 0
+            assert prof.report()["runs"] > 0
+
+
+def _uid_free(log):
+    """Records with each process-unique uid renumbered by first appearance,
+    so two runs of one spec compare record for record."""
+    renumber = {}
+    out = []
+    for event in log:
+        record = event.to_dict()
+        for key, value in record.items():
+            if key.endswith("uid"):
+                record[key] = renumber.setdefault(value, len(renumber))
+        out.append(record)
+    return out
+
+
 class TestWorkCount:
     """Python calls per packet-hop on the golden ``dash_ecf`` run.
 
@@ -276,10 +337,9 @@ class TestWorkCount:
 
     CEILING = 30.0
 
-    def test_repro_calls_per_link_delivery(self, monkeypatch):
+    def test_repro_calls_per_link_delivery(self, sanitizer_off):
         # Count the plain hot path, also where the suite runs with
         # REPRO_SANITIZE=1 (the sanitizer adds several calls per hop).
-        monkeypatch.setattr(sanitize, "CHECKS", None)
         runner, spec = TestByteIdentity()._cases()["dash_ecf"]
         profile = cProfile.Profile()
         with perf.collecting() as collector:
@@ -301,6 +361,18 @@ class TestWorkCount:
             f"{calls / hops:.1f} repro calls per link delivery "
             f"(ceiling {self.CEILING})"
         )
+
+
+@pytest.fixture
+def sanitizer_off():
+    """Switch the sanitizer off for one test (``REPRO_SANITIZE=1`` runs)."""
+    was_on = sanitize.enabled()
+    sanitize.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            sanitize.enable()
 
 
 @pytest.fixture(scope="module")

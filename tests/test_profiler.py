@@ -2,7 +2,7 @@
 
 The two load-bearing guarantees:
 
-* **zero-cost off** -- with ``PROFILER is None`` (the default) the
+* **zero-cost off** -- with no profiler installed (the default) the
   engine takes its uninstrumented fast path and no profiler code runs;
 * **byte-identity** -- profiling must never perturb simulated results:
   the same spec run with and without the profiler produces identical
@@ -18,6 +18,8 @@ from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import profiler as _profiler
 from repro.perf.profiler import SimProfiler, profile_enabled, profiling
+from repro.sim import probe
+from repro.sim.engine import Simulator
 
 
 def bulk_spec(seed=0, size=96 * 1024):
@@ -31,7 +33,7 @@ def bulk_spec(seed=0, size=96 * 1024):
 
 class TestZeroCostOff:
     def test_profiler_global_defaults_to_none(self):
-        assert _profiler.PROFILER is None
+        assert probe.installed("profiler") is None
 
     def test_profile_enabled_reads_env(self, monkeypatch):
         monkeypatch.delenv(_profiler.ENV_VAR, raising=False)
@@ -148,21 +150,24 @@ class TestPublish:
 
 class TestProfilingContext:
     def test_restores_previous_global(self):
-        outer = SimProfiler()
-        _profiler.PROFILER = outer
-        try:
+        with profiling() as outer:
             with profiling() as inner:
-                assert _profiler.PROFILER is inner
                 assert inner is not outer
-            assert _profiler.PROFILER is outer
-        finally:
-            _profiler.PROFILER = None
+                Simulator().run()
+            Simulator().run()
+        Simulator().run()
+        assert inner.report()["runs"] == 1  # the innermost wins ...
+        assert outer.report()["runs"] == 1  # ... and the outer is back after
+        assert probe.installed("profiler") is None
 
     def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with profiling():
-                raise RuntimeError("boom")
-        assert _profiler.PROFILER is None
+        with profiling() as outer:
+            with pytest.raises(RuntimeError):
+                with profiling():
+                    raise RuntimeError("boom")
+            Simulator().run()
+        assert outer.report()["runs"] == 1
+        assert probe.installed("profiler") is None
 
 
 class TestEnvVarName:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.tcp.cc import CoupledController, OliaController, RenoController, make_controller
+from repro.tcp.cc import (
+    CoupledController,
+    OliaController,
+    RenoController,
+    build_controller,
+)
 from repro.tcp.cc.base import MIN_CWND
 from tests.conftest import build_connection
 
@@ -14,17 +19,17 @@ def two_subflow_conn(sim, cc_name="reno"):
 
 class TestFactory:
     def test_known_names(self):
-        assert isinstance(make_controller("reno"), RenoController)
-        assert isinstance(make_controller("coupled"), CoupledController)
-        assert isinstance(make_controller("lia"), CoupledController)
-        assert isinstance(make_controller("olia"), OliaController)
+        assert isinstance(build_controller("reno"), RenoController)
+        assert isinstance(build_controller("coupled"), CoupledController)
+        assert isinstance(build_controller("lia"), CoupledController)
+        assert isinstance(build_controller("olia"), OliaController)
 
     def test_case_insensitive(self):
-        assert isinstance(make_controller("RENO"), RenoController)
+        assert isinstance(build_controller("RENO"), RenoController)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
-            make_controller("bbr")
+            build_controller("bbr")
 
 
 class TestSlowStartAndDecrease:
